@@ -4,7 +4,7 @@
 PYTHON ?= python
 JOBS ?= 4
 
-.PHONY: test tier1 smoke fig2 fig8-smoke fuzz-smoke bench clean-cache analyze analyze-all model-deep lint docs-check
+.PHONY: test tier1 smoke fig2 fig8-smoke perfbench fuzz-smoke bench clean-cache analyze analyze-all model-deep lint docs-check
 
 # Tier-1 gate: the full unit/integration/property suite, then the
 # protocol verifier (static + dispatch + exhaustive small model).
@@ -110,6 +110,18 @@ fig8-smoke:
 	$(PYTHON) tools/perf_delta.py BENCH_fig8.baseline.json \
 		BENCH_fig8.json; status=$$?; \
 		rm -f BENCH_fig8.baseline.json; exit $$status
+
+# The repo's benchmark (BENCHMARK.json, perfbench/README.md): its own
+# tests, then every workload once at --trace 0 (host-scaled CPU time,
+# set-up time, RSS, simulated cycles; each run checks its stats digest
+# and committed-instruction count).  ~35 s wall per workload.
+PERFBENCH_WORKLOADS = ocean-1node fft-smtp16x2 radix-base16
+perfbench:
+	$(PYTHON) -m pytest perfbench -q
+	for w in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seconds 25 \
+			--trace 0 || exit 1; \
+	done
 
 # Docs-staleness gate: every --flag a doc mentions must exist in the
 # live --help of the commands it covers, and every sweep/fuzz flag

@@ -40,8 +40,8 @@ running it) but compiles everything around it:
 
 **Bit-identity contract.**  The interpreted classes stay in-tree as the
 executable specification; ``REPRO_APP_INTERP=1`` routes source
-construction back to :class:`ThreadProgram` *and* disables the core's
-fused fast path, and the differential tests in
+construction back to :class:`ThreadProgram` *and* puts every core on
+the reference :meth:`SMTCore.step` pipeline, and the differential tests in
 ``tests/test_differential.py`` (plus the µop-stream round-trip property
 in ``tests/test_app_compile.py``) hold the two modes to identical
 :class:`MachineStats` and protocol traces across every machine model
@@ -62,30 +62,18 @@ from repro.apps.program import KernelBuilder, KernelFn, ThreadProgram
 from repro.isa.uop import Uop
 
 #: Folded into the sweep cache key and checkpoint payloads; bump on any
-#: semantic change to compiled-mode emission or the core fast path.
+#: semantic change to compiled-mode emission or the fused core steps
+#: (``SMTCore._step_1t``/``_step_nt`` and their stage bodies in
+#: :mod:`repro.pipeline.core`), which switch together with the feed.
 APP_COMPILER_VERSION = 1
-
-#: Version of the fused *multi-threaded* core step (``SMTCore._step_nt``
-#: and its satellite stage bodies in :mod:`repro.pipeline.core`).  Also
-#: folded into the sweep cache key and checkpoint payloads; bump on any
-#: semantic change to the fused SMT path.
-SMT_COMPILER_VERSION = 1
 
 
 def app_interp_forced() -> bool:
     """True when ``REPRO_APP_INTERP=1`` forces the reference
-    interpreter: :class:`ThreadProgram` sources and the per-µop
-    fetch/issue dispatch in :mod:`repro.pipeline.core`."""
+    interpreter: :class:`ThreadProgram` sources and the reference
+    :meth:`SMTCore.step` pipeline on every core, instead of the fused
+    ``_step_1t``/``_step_nt`` steps in :mod:`repro.pipeline.core`."""
     return os.environ.get("REPRO_APP_INTERP", "") == "1"
-
-
-def smt_interp_forced() -> bool:
-    """True when ``REPRO_SMT_INTERP=1`` forces multi-threaded cores
-    (SMTp app+protocol contexts and ways>=2 cells) back onto the
-    generic :meth:`SMTCore.step` reference instead of the fused
-    ``_step_nt`` path.  Single-thread cores are unaffected (they have
-    their own ``REPRO_APP_INTERP`` hatch)."""
-    return os.environ.get("REPRO_SMT_INTERP", "") == "1"
 
 
 # ----------------------------------------------------------------------

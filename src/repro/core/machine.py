@@ -282,66 +282,16 @@ class Machine:
             self.sanitizer.on_cycle(cycle)
         return awake
 
-    def _event_step_1core(self) -> bool:
-        """:meth:`_event_step` with the core loop unrolled for the
-        single-node machine (no sanitizer attached).  Same cycle
-        skeleton, same wake tests, no per-cycle list walk."""
-        self.cycle = cycle = self.cycle + 1
-        wheel = self.wheel
-        if wheel._heap and wheel._heap[0][0] <= cycle:
-            if wheel.tick(cycle):
-                self._progress_cycle = cycle
-        else:
-            wheel.now = cycle
-        if cycle % self._mc_divisor == 0:
-            if self._mc_dirty:
-                self._active_mcs = [
-                    m for m in self._mcs if m._sleep_from == 0
-                ]
-                self._mc_dirty = False
-            for mc in self._active_mcs:
-                mc.step()
-                if not mc._n_input:
-                    mc._sleep_from = cycle + 1
-                    self._mc_dirty = True
-                else:
-                    engine = mc.engine
-                    if engine is not None and engine.ready_cycle() is None:
-                        mc._sleep_from = cycle + 1
-                        self._mc_dirty = True
-            self._mc_edge_done = cycle
-        core = self._cores[0]
-        awake = False
-        if core._worked or core._wake_flag or 0 < core._unit_wake <= cycle:
-            # core.step() with its mode dispatch hoisted here: skips
-            # one wrapper frame per awake cycle.
-            if core._use_1t:
-                core._step_1t()
-            else:
-                core.step()
-            if core._worked or core._wake_flag:
-                awake = True
-        elif core._ff_plan is None:
-            core._ff_plan = core._build_ff_plan()
-            core._ff_anchor = cycle
-        if cycle - self._progress_cycle > self._watchdog:
-            raise DeadlockError(self._deadlock_report())
-        return awake
-
     def run(self, max_cycles: int) -> None:
-        step = self.step
         all_done = self.all_done
         if self.dense_step:
+            step = self.step
             for _ in range(max_cycles):
                 if all_done():
                     return
                 step()
             return
-        step = (
-            self._event_step_1core
-            if len(self._cores) == 1 and self.sanitizer is None
-            else self._event_step
-        )
+        step = self._event_step
         deadline = self.cycle + max_cycles
         # ``all_done`` can only turn true on a cycle some core committed
         # (which sets ``_worked``, making ``step`` return True), so it
@@ -350,18 +300,6 @@ class Machine:
         # the thread walk while asleep.
         check_done = True
         try:
-            if step is self._event_step_1core and self._cores[0]._use_1t:
-                # Fused single-app-thread core: completion is that one
-                # thread's plain ``done`` flag — skip the all_done()/
-                # core.done property round trip per awake cycle.
-                t0 = self._cores[0]._t0
-                while self.cycle < deadline:
-                    if check_done and t0.done:
-                        return
-                    check_done = step()
-                    if not check_done and self.cycle < deadline:
-                        self._maybe_fast_forward(deadline)
-                return
             while self.cycle < deadline:
                 if check_done and all_done():
                     return

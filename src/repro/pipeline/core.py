@@ -34,7 +34,7 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.apps.compile import app_interp_forced, smt_interp_forced
+from repro.apps.compile import app_interp_forced
 from repro.caches.hierarchy import BLOCKED, HIT, MISS
 from repro.common.params import ProcessorParams
 from repro.common.queues import DualQueue, ReservedPool
@@ -46,6 +46,8 @@ from repro.protocol.extensions import AM_OPS
 
 #: Extra cycles from issue to execute (the two register-read stages).
 READ_STAGES = 2
+#: ICOUNT(2,8): threads that share the fetch width each cycle.
+FETCH_THREADS = 2
 #: Synthetic wrong-path µop cap per mispredict (resource back-pressure
 #: throttles well before this).
 WRONG_PATH_CAP = 64
@@ -211,20 +213,22 @@ class SMTCore:
         self._sb_fifo: Dict[int, Deque[Uop]] = {
             t.tid: deque() for t in self.threads
         }
-        # Compiled fetch/issue fast path (repro.apps.compile).  The
-        # reference scan keeps every waiting µop in one list and
-        # re-tests n_wait/budgets per µop per cycle; the compiled path
-        # splits the window by *why* a µop is waiting — ready non-memory
-        # µops in per-side heaps keyed by IQ admission order (admitted
-        # by the rename unit's on_ready hook the moment their last
-        # source completes), memory µops in per-thread program-order
-        # FIFOs whose heads are the only possible issue candidates
-        # (mem_seq gating), prefetches in their own FIFO — so each
-        # issue cycle touches only actionable µops.  Bit-identical to
-        # _issue: candidates are processed in admission order, exactly
-        # the reference list order.  REPRO_APP_INTERP=1 restores the
-        # reference scan (and the per-µop fetch/decode loops).
-        self._fast = not app_interp_forced()
+        # Two executions of one pipeline.  REPRO_APP_INTERP=1 selects the
+        # reference step(): interpreted sources, per-µop fetch/decode
+        # loops, and an issue scan that keeps every waiting µop in one
+        # list and re-tests n_wait/budgets per µop per cycle.  Otherwise
+        # every core runs a fused step (_step_1t for one compiled app
+        # thread, _step_nt for everything else) whose issue window is
+        # split by *why* a µop is waiting — ready non-memory µops in
+        # per-side heaps keyed by IQ admission order (admitted by the
+        # rename unit's on_ready hook the moment their last source
+        # completes), memory µops in per-thread program-order FIFOs
+        # whose heads are the only possible issue candidates (mem_seq
+        # gating), prefetches in their own FIFO — so each issue cycle
+        # touches only actionable µops.  Bit-identical to _issue:
+        # candidates are processed in admission order, exactly the
+        # reference list order.
+        fast = not app_interp_forced()
         self._iq_pos = 0
         self._iqr: List[Tuple[int, Uop]] = []
         self._fqr: List[Tuple[int, Uop]] = []
@@ -238,30 +242,14 @@ class SMTCore:
         # stage can be skipped without losing the reference's
         # blocked-attempt recurrence (an attempt needs n_wait == 0).
         self._mem_ready = 0
-        if self._fast:
+        if fast:
             self.rename.on_ready = self._uop_ready
-        # Rename-stall latch: nonzero when the rename-queue head
-        # bounced off a full resource, coded by what blocked it —
-        # 1 = issue-queue pool (freed only by issue or squash),
-        # 2 = window/register/LSQ/branch-stack (freed by retire or
-        # squash).  Issue and squash clear the latch outright; retire
-        # clears only code 2 (``&= 1``) since it frees no IQ slot.
-        # While latched, the fused step skips the per-cycle rename
-        # retry — the reference retries every cycle, but a retry
-        # between two frees is a guaranteed failure, so skipping it
-        # changes nothing.
-        self._rn_wait = 0
-        # Fully fused per-cycle path for the single-compiled-app-thread
-        # core (every non-SMTp model at ways=1) — see _step_1t.  The
-        # app-side pool/queue limits are immutable after construction,
-        # so the fused stages read one precomputed bound instead of
-        # re-deriving ``total - reserved`` per cycle.
         self._t0 = self.threads[0]
-        self._t0_fifo = self._mem_fifo[self._t0.tid]
         self._t0_sb = self._sb_fifo[self._t0.tid]
-        # No protocol context exists on the fused core, so ``proto_used``
-        # is identically 0 for every pool and the app-side occupancy
-        # tests reduce to ``app_used >= cap``.
+        self._t0_fifo = self._mem_fifo[self._t0.tid]
+        # App-side pool/queue bounds (``total - reserved``), immutable
+        # after construction, so the fused stages read one precomputed
+        # bound instead of re-deriving it per cycle.
         self._sb_cap = self.sb_pool.total - self.sb_pool.reserved
         self._iq_cap = self.iq_pool.total - self.iq_pool.reserved
         self._fq_cap = self.fq_pool.total - self.fq_pool.reserved
@@ -273,31 +261,29 @@ class SMTCore:
         # busy (rare) — reused across cycles so the common all-clear
         # issue pass allocates nothing.
         self._gated: List[Tuple[int, Uop]] = []
+        # Fused step selection: one compiled app thread and nothing else
+        # (every non-SMTp model at ways=1) takes _step_1t; every other
+        # core — SMTp app+protocol pairs, ways>=2 cells, single threads
+        # fed by an interpreted ThreadProgram — takes _step_nt.
         self._use_1t = (
-            self._fast and len(self.threads) == 1 and self._t0.compiled_src
+            fast and len(self.threads) == 1 and self._t0.compiled_src
         )
-        # Fused multi-threaded path (_step_nt): SMTp cores (app +
-        # protocol contexts) and ways>=2 cells.  Requires the compiled
-        # app tier (the superblock fetch feeds it) and the standard
-        # ICOUNT(2,8) fetch (the inlined top-2 selection assumes two
-        # fetch slots).  REPRO_SMT_INTERP=1 keeps such cores on the
-        # generic step() reference.
-        self._use_nt = (
-            self._fast
-            and not smt_interp_forced()
-            and len(self.threads) >= 2
-            and self.pp.fetch_threads_per_cycle == 2
-        )
+        self._use_nt = fast and not self._use_1t
         self._tproto = (
             self.threads[self.proto_tid] if self.proto_tid >= 0 else None
         )
-        # Per-section rename-stall latches for _step_nt — the two-
-        # section generalization of _rn_wait: a section whose queue
-        # head bounced off a full resource is skipped until issue,
-        # retire (code 2 only), or squash frees something.  Renames
+        # Per-section rename-stall latches for the fused steps: nonzero
+        # when the section's rename-queue head bounced off a full
+        # resource, coded by what blocked it — 1 = issue-queue pool
+        # (freed only by issue or squash), 2 = window/register/LSQ/
+        # branch-stack (freed by retire or squash).  Issue and squash
+        # clear both latches outright; retire clears only code 2
+        # (``&= 1``) since it frees no IQ slot.  While latched, the
+        # section skips the per-cycle rename retry — the reference
+        # retries every cycle, but a retry between two frees is a
+        # guaranteed failure, so skipping it changes nothing.  Renames
         # only consume resources, so one section renaming never
-        # unblocks the other; the clears are shared with _rn_wait's
-        # (conservative: any free clears both sections).
+        # unblocks the other.
         self._rn_wait_app = 0
         self._rn_wait_proto = 0
         # Fixed thread set after construction: the per-thread memory
@@ -476,6 +462,10 @@ class SMTCore:
 
     # ------------------------------------------------------------------
     def step(self) -> None:
+        """One core cycle.  Dispatches to the fused step this core was
+        built for; under ``REPRO_APP_INTERP=1`` runs the reference
+        pipeline below, the executable specification both fused steps
+        are held bit-identical to."""
         if self._use_1t:
             self._step_1t()
             return
@@ -496,26 +486,10 @@ class SMTCore:
                 # the head waiting for traffic does not count.
                 self.node.stats.protocol.busy_cycles += 1
         self._commit()
-        # Empty-stage guards: a skipped stage call must still advance
-        # the section-priority parity its body would have toggled.
-        if self._fast:
-            if self._iqr or self._fqr or self._mem_ready:
-                self._issue_fast()
-        elif self.iq or self.fq:
+        if self.iq or self.fq:
             self._issue()
-        rq = self.rename_q
-        if rq.proto or rq.app:
-            self._rename_stage()
-        else:
-            rq._proto_first = not rq._proto_first
-        dq = self.decode_q
-        if dq.proto or dq.app:
-            if self._fast:
-                self._decode_stage_fast()
-            else:
-                self._decode_stage()
-        else:
-            dq._proto_first = not dq._proto_first
+        self._rename_stage()
+        self._decode_stage()
         self._fetch()
 
     def _step_1t(self) -> None:
@@ -532,7 +506,8 @@ class SMTCore:
         protocol sections and the protocol section does not exist here.
         Application sources never produce commit-stage µops, so head
         retirability reduces to ``completed`` (+ store-buffer room for
-        stores).
+        stores).  Issue and rename share :meth:`_issue_nt` and
+        :meth:`_rename_nt` with :meth:`_step_nt`.
         """
         if self._ff_plan is not None:
             self.flush_idle_fixup()
@@ -563,8 +538,8 @@ class SMTCore:
                 free_int = rn._free_int
                 committed = 0
                 spin_committed = 0
+                self._rn_wait_app &= 1
                 while True:
-                    self._rn_wait &= 1
                     if head.spin:
                         spin_committed += 1
                     kind = head.kind
@@ -614,6 +589,10 @@ class SMTCore:
             t.stats.done = True
             self._worked = True
         # -- issue -----------------------------------------------------
+        # With one thread the only memory candidates are the FIFO head
+        # and the oldest prefetch, so this gate is exact where
+        # _step_nt's ``_mem_ready`` count (any ready memory µop) also
+        # admits cycles whose head still waits.
         fifo = self._t0_fifo
         if (
             self._iqr
@@ -621,11 +600,12 @@ class SMTCore:
             or self._pf_fifo
             or (fifo and not fifo[0].n_wait)
         ):
-            self._issue_1t()
+            self._issue_nt()
         # -- rename ----------------------------------------------------
         rqa = self.rename_q.app
-        if rqa and not self._rn_wait:
-            self._rename_1t(rqa)
+        if rqa and not self._rn_wait_app:
+            if self._rename_nt(rqa, False, self._few):
+                self._worked = True
         # -- decode ----------------------------------------------------
         dqa = self.decode_q.app
         if dqa:
@@ -655,20 +635,19 @@ class SMTCore:
                 self._fetch_thread_fast(t, self._fetch_width)
 
     def _step_nt(self) -> None:
-        """:meth:`step`, fused for multi-threaded cores — SMTp cores
-        (application thread(s) + protocol thread) and ways>=2 cells.
+        """:meth:`step`, fused for every core :meth:`_step_1t` does not
+        take — SMTp cores (application thread(s) + protocol thread),
+        ways>=2 cells, and single threads fed by a ThreadProgram.
 
         Observationally identical to :meth:`step`: same stage order,
         same per-cycle side effects (stall counters, section-priority
         parity), same ``_worked``/``_unit_wake`` accounting.  The stage
         bodies are the fused forms: :meth:`_commit_nt` (retire loop
-        with the app-side :meth:`_retire` inlined), :meth:`_issue_nt`
-        (:meth:`_issue_fast` with per-issue bookkeeping inlined), an
-        inline rename loop gated by *per-section* stall latches (the
-        two-section generalization of ``_rn_wait``), and
-        :meth:`_fetch_nt` (ICOUNT selection without the sort, fetching
-        through the superblock/compiled-PP fast loops).
-        ``REPRO_SMT_INTERP=1`` keeps such cores on :meth:`step`.
+        with the app-side :meth:`_retire` inlined), :meth:`_issue_nt`,
+        a rename loop over :meth:`_rename_nt` gated by *per-section*
+        stall latches, and :meth:`_fetch_nt` (ICOUNT selection without
+        the sort, fetching through the superblock/compiled-PP fast
+        loops, or the per-µop loop for interpreted sources).
         """
         if self._ff_plan is not None:
             self.flush_idle_fixup()
@@ -731,13 +710,15 @@ class SMTCore:
         self._fetch_nt()
 
     def _rename_nt(self, src: Deque[Uop], protocol: bool, budget: int) -> int:
-        """One rename-queue section of :meth:`_step_nt`'s rename stage:
+        """One rename-queue section of a fused step's rename stage:
         :meth:`_try_rename` and :meth:`RegfileUnit.rename` fused into a
-        single loop (the two-section generalization of
-        :meth:`_rename_1t`).  ``protocol`` fixes the pool bounds and
+        single loop.  ``protocol`` fixes the pool bounds and
         register-floor for the whole section, so every resource check
-        is plain arithmetic over hoisted locals; check order, acquire
-        order and issue routing match :meth:`_try_rename` exactly.
+        is plain arithmetic over hoisted locals; check and acquire
+        order match :meth:`_try_rename` exactly.  Instead of joining the
+        flat scan list, a renamed µop is routed by wait reason:
+        ``iq_pos`` freezes the reference scan order (= admission order)
+        so the heaps/FIFOs replay it exactly.
         Returns the number renamed; a resource bounce latches the
         section's ``_rn_wait_*`` code and stops the section.
         """
@@ -904,6 +885,7 @@ class SMTCore:
                     heappush(
                         self._fqr if is_fp else self._iqr, (pos, uop)
                     )
+                # else: admitted by _uop_ready when n_wait hits 0.
             src.popleft()
             renamed += 1
             if not src:
@@ -911,7 +893,6 @@ class SMTCore:
         else:
             return renamed
         # Resource bounce: latch the section (loop exited via break).
-        self._rn_wait = code
         if protocol:
             self._rn_wait_proto = code
         else:
@@ -1033,7 +1014,6 @@ class SMTCore:
                         # inlined with proto-side pool/register
                         # arithmetic (release is a plain decrement;
                         # sb acquire tracks the Table 9 peak).
-                        self._rn_wait &= 1
                         self._rn_wait_app &= 1
                         self._rn_wait_proto &= 1
                         kind = head.kind
@@ -1067,7 +1047,6 @@ class SMTCore:
                     else:
                         # App µop: _retire inlined (no commit-stage
                         # kinds, releases as plain app-side arithmetic).
-                        self._rn_wait &= 1
                         self._rn_wait_app &= 1
                         self._rn_wait_proto &= 1
                         kind = head.kind
@@ -1156,14 +1135,12 @@ class SMTCore:
         if len(candidates) > 1:
             candidates.sort(key=lambda t: (t.icount, not t.protocol))
         budget = self._fetch_width
-        for t in candidates[: self.pp.fetch_threads_per_cycle]:
+        for t in candidates[:FETCH_THREADS]:
             if budget <= 0:
                 break
             budget = self._fetch_thread(t, budget)
 
     def _fetch_thread(self, t: ThreadContext, budget: int) -> int:
-        if self._fast and t.compiled_src and t.wrongpath_branch is None:
-            return self._fetch_thread_fast(t, budget)
         while budget > 0:
             if not self.decode_q.can_push(t.protocol):
                 break
@@ -1618,133 +1595,6 @@ class SMTCore:
         if renamed:
             self._worked = True
 
-    def _rename_1t(self, rqa: Deque[Uop]) -> None:
-        """Rename-stage loop of :meth:`_step_1t`, specialized for
-        application µops: no protocol context (every pool bound is the
-        app-side ``total - reserved`` and acquires are plain ``app_used``
-        increments) and no commit-stage kinds (application sources never
-        emit them — SYNTH wrong-path fillers are plain ALU-class µops).
-        Check order and routing match :meth:`_try_rename` exactly.
-        """
-        t = self._t0
-        rn = self.rename
-        rob = t.rob
-        renamed = 0
-        width = self._few
-        al = self._active_list
-        imap = rn.int_map[t.tid]
-        fmap = rn.fp_map[t.tid]
-        int_ready = rn.int_ready
-        fp_ready = rn.fp_ready
-        waiters = rn._waiters
-        free_int = rn._free_int
-        free_fp = rn._free_fp
-        reserved_int = rn.reserved_int
-        while renamed < width:
-            uop = rqa[0]
-            if uop.is_fp:
-                pool = self.fq_pool
-                if pool.app_used >= self._fq_cap:
-                    self._rn_wait = 1
-                    break
-            else:
-                pool = self.iq_pool
-                if pool.app_used >= self._iq_cap:
-                    self._rn_wait = 1
-                    break
-            if len(rob) >= al:
-                self._rn_wait = 2
-                break
-            dest = uop.dest
-            if dest is not None:
-                if dest >= FP_BASE:
-                    if not free_fp:
-                        self._rn_wait = 2
-                        break
-                elif len(free_int) <= reserved_int:
-                    self._rn_wait = 2
-                    break
-            is_mem = uop.is_memory
-            if is_mem:
-                if self.lsq_pool.app_used >= self._lsq_cap:
-                    self._rn_wait = 2
-                    break
-            if uop.is_branch:
-                bp = self.bstack_pool
-                if bp.app_used >= self._bs_cap:
-                    self._rn_wait = 2
-                    break
-                bp.app_used += 1
-                uop.checkpoint = rn.checkpoint(t.tid, t.ras.snapshot())
-            if is_mem:
-                self.lsq_pool.app_used += 1
-                uop.in_lsq = True
-                if uop.kind is not UopKind.PREFETCH:
-                    uop.mem_seq = t.mem_seq_next
-                    t.mem_seq_next += 1
-            # rename.rename(uop), inlined for the app thread (no
-            # protocol register accounting); one call per renamed uop
-            # otherwise.
-            srcs = uop.srcs
-            if srcs:
-                n_wait = 0
-                psrcs: List[int] = []
-                for s in srcs:
-                    if s >= FP_BASE:
-                        r = fmap[s - FP_BASE]
-                        p = r + (1 << 20)
-                        ready = fp_ready[r]
-                    else:
-                        p = imap[s]
-                        ready = int_ready[p]
-                    psrcs.append(p)
-                    if not ready:
-                        n_wait += 1
-                        lst = waiters.get(p)
-                        if lst is None:
-                            waiters[p] = [uop]
-                        else:
-                            lst.append(uop)
-                uop.psrcs = tuple(psrcs)
-                uop.n_wait = n_wait
-            else:
-                uop.psrcs = ()
-            if dest is not None:
-                if dest >= FP_BASE:
-                    preg = free_fp.pop()
-                    fp_ready[preg] = False
-                    uop.pdest = preg + (1 << 20)
-                    uop.pdest_old = fmap[dest - FP_BASE] + (1 << 20)
-                    fmap[dest - FP_BASE] = preg
-                else:
-                    preg = free_int.pop()
-                    int_ready[preg] = False
-                    uop.pdest = preg
-                    uop.pdest_old = imap[dest]
-                    imap[dest] = preg
-            rob.append(uop)
-            pool.app_used += 1
-            pos = self._iq_pos + 1
-            self._iq_pos = pos
-            uop.iq_pos = pos
-            if is_mem:
-                if uop.kind is UopKind.PREFETCH:
-                    self._pf_fifo.append(uop)
-                else:
-                    self._t0_fifo.append(uop)
-                if not uop.n_wait:
-                    self._mem_ready += 1
-            elif not uop.n_wait:
-                heappush(
-                    self._fqr if uop.is_fp else self._iqr, (pos, uop)
-                )
-            rqa.popleft()
-            renamed += 1
-            if not rqa:
-                break
-        if renamed:
-            self._worked = True
-
     def _try_rename(self, uop: Uop) -> bool:
         # Rename-stage resource gate.  Retried every cycle for a
         # stalled queue head, so the failure checks are inlined pool
@@ -1755,27 +1605,21 @@ class SMTCore:
         commit_stage = uop.commit_stage
         # The issue-queue pool is by far the most frequent blocker, so
         # it is tested first (the checks are independent and pure).
-        # Every failure latches _rn_wait: until some resource frees,
-        # retrying this same head is pointless (see __init__).
         if not commit_stage:
             pool = self.fq_pool if uop.is_fp else self.iq_pool
             if pool.app_used + pool.proto_used >= (
                 pool.total if protocol else pool.total - pool.reserved
             ):
-                self._rn_wait = 1
                 return False
         if len(t.rob) >= self._active_list:
-            self._rn_wait = 2
             return False
         rn = self.rename
         dest = uop.dest
         if dest is not None:
             if dest >= FP_BASE:
                 if not rn._free_fp:
-                    self._rn_wait = 2
                     return False
             elif len(rn._free_int) <= (0 if protocol else rn.reserved_int):
-                self._rn_wait = 2
                 return False
         # SWITCH/LDCTXT are uncached loads: they hold LSQ slots until
         # they graduate (the paper's "switch stalls the head of the
@@ -1788,14 +1632,12 @@ class SMTCore:
             if lp.app_used + lp.proto_used >= (
                 lp.total if protocol else lp.total - lp.reserved
             ):
-                self._rn_wait = 2
                 return False
         if uop.is_branch:
             bp = self.bstack_pool
             if bp.app_used + bp.proto_used >= (
                 bp.total if protocol else bp.total - bp.reserved
             ):
-                self._rn_wait = 2
                 return False
 
         if uop.is_branch:
@@ -1811,28 +1653,7 @@ class SMTCore:
         t.rob.append(uop)
         if not commit_stage:
             pool.acquire(protocol)
-            if self._fast:
-                # Compiled issue path: route by wait reason instead of
-                # appending to the flat scan list.  iq_pos freezes the
-                # reference scan order (= admission order) so the
-                # heaps/FIFOs replay it exactly.
-                self._iq_pos += 1
-                uop.iq_pos = self._iq_pos
-                if uop.is_memory:
-                    if uop.kind is UopKind.PREFETCH:
-                        self._pf_fifo.append(uop)
-                    else:
-                        self._mem_fifo[uop.thread].append(uop)
-                    if not uop.n_wait:
-                        self._mem_ready += 1
-                elif not uop.n_wait:
-                    heappush(
-                        self._fqr if uop.is_fp else self._iqr,
-                        (self._iq_pos, uop),
-                    )
-                # else: admitted by _uop_ready when n_wait hits 0.
-            else:
-                (self.fq if uop.is_fp else self.iq).append(uop)
+            (self.fq if uop.is_fp else self.iq).append(uop)
         # Table 9 peaks are tracked by the pools / rename unit.
         return True
 
@@ -1922,9 +1743,10 @@ class SMTCore:
             return
         heappush(self._fqr if uop.is_fp else self._iqr, (uop.iq_pos, uop))
 
-    def _issue_fast(self) -> None:
-        """Compiled issue: process only actionable µops, in the exact
-        order the reference :meth:`_issue` scan would reach them.
+    def _issue_nt(self) -> None:
+        """Issue stage of both fused steps: process only actionable
+        µops, in the exact order the reference :meth:`_issue` scan
+        would reach them.
 
         Candidates and their order are fixed at entry: completions are
         wheel-scheduled at least one cycle out and active-memory
@@ -1937,293 +1759,11 @@ class SMTCore:
         order, mirroring the reference's single-list walk, and a
         BLOCKED attempt leaves the head in place to retry — and mutate
         hierarchy stats — every cycle, exactly like the kept-list scan.
-        """
-        cycle = self.cycle
-        threads = self.threads
-        # -- collect memory candidates --------------------------------
-        mem: List[Uop] = []
-        if self._mem_ready:
-            sb_fifo = self._sb_fifo
-            for tid, fifo in self._mem_fifo.items():
-                while fifo and fifo[0].squashed:
-                    if not fifo[0].n_wait:
-                        self._mem_ready -= 1
-                    fifo.popleft()
-                if not fifo:
-                    continue
-                head = fifo[0]
-                if head.n_wait:
-                    continue
-                t = threads[tid]
-                if head.mem_seq != t.mem_issue_next:
-                    continue
-                if head.kind is UopKind.ATOMIC and not (
-                    t.rob and t.rob[0] is head and not sb_fifo[tid]
-                ):
-                    continue
-                mem.append(head)
-            pf = self._pf_fifo
-            while pf and pf[0].squashed:
-                self._mem_ready -= 1  # prefetches are always ready
-                pf.popleft()
-            if pf:
-                mem.append(pf[0])
-            if len(mem) == 2:
-                if mem[0].iq_pos > mem[1].iq_pos:
-                    mem.reverse()
-            elif len(mem) > 2:
-                mem.sort(key=attrgetter("iq_pos"))
-        # -- integer + memory, merged in admission order ---------------
-        alu = 6
-        agu = 1
-        iqr = self._iqr
-        gated: List[Tuple[int, Uop]] = []
-        if not mem:
-            # Common case — no issuable memory head this cycle: a pure
-            # heap drain, no merge bookkeeping.
-            while alu > 0 and iqr:
-                pos, uop = heappop(iqr)
-                if uop.squashed:
-                    continue
-                if uop.kind is UopKind.DIV:
-                    if self.div_free_at > cycle:
-                        self._note_unit_wake(self.div_free_at)
-                        gated.append((pos, uop))
-                        continue
-                    self.div_free_at = cycle + self.pp.int_div_latency
-                alu -= 1
-                self._worked = True
-                uop.issued = True
-                threads[uop.thread].icount -= 1
-                self.iq_pool.release(uop.protocol)
-                self._schedule_complete(uop, self._latency_of(uop))
-        else:
-            inf = 1 << 62
-            mi = 0
-            mn = len(mem)
-            while True:
-                hpos = iqr[0][0] if (alu > 0 and iqr) else inf
-                mpos = mem[mi].iq_pos if (agu > 0 and mi < mn) else inf
-                if hpos <= mpos:
-                    if hpos == inf:
-                        break
-                    pos, uop = heappop(iqr)
-                    if uop.squashed:
-                        continue
-                    if uop.kind is UopKind.DIV:
-                        if self.div_free_at > cycle:
-                            # Unit busy: park outside the heap so the
-                            # scan moves past it, re-admit after.
-                            self._note_unit_wake(self.div_free_at)
-                            gated.append((pos, uop))
-                            continue
-                        self.div_free_at = cycle + self.pp.int_div_latency
-                    alu -= 1
-                    self._worked = True
-                    uop.issued = True
-                    threads[uop.thread].icount -= 1
-                    self.iq_pool.release(uop.protocol)
-                    self._schedule_complete(uop, self._latency_of(uop))
-                else:
-                    uop = mem[mi]
-                    mi += 1
-                    # Even a BLOCKED attempt records hierarchy stats, so
-                    # an issuable memory µop keeps the core awake.
-                    self._worked = True
-                    if self._issue_mem(uop):
-                        agu -= 1
-                        uop.issued = True
-                        threads[uop.thread].icount -= 1
-                        self.iq_pool.release(uop.protocol)
-                        if uop.kind is UopKind.PREFETCH:
-                            self._pf_fifo.popleft()
-                        else:
-                            self._mem_fifo[uop.thread].popleft()
-                        self._mem_ready -= 1  # an issued head was ready
-        for entry in gated:
-            heappush(iqr, entry)
-        # -- floating point -------------------------------------------
-        fpu = 3
-        fqr = self._fqr
-        if fqr:
-            del gated[:]
-            while fpu > 0 and fqr:
-                pos, uop = heappop(fqr)
-                if uop.squashed:
-                    continue
-                if uop.kind is UopKind.FDIV:
-                    if self.fdiv_free_at > cycle:
-                        self._note_unit_wake(self.fdiv_free_at)
-                        gated.append((pos, uop))
-                        continue
-                    self.fdiv_free_at = cycle + self.pp.fp_div_dp_latency
-                fpu -= 1
-                self._worked = True
-                uop.issued = True
-                threads[uop.thread].icount -= 1
-                self.fq_pool.release(uop.protocol)
-                self._schedule_complete(uop, self._latency_of(uop))
-            for entry in gated:
-                heappush(fqr, entry)
-
-    def _issue_1t(self) -> None:
-        """:meth:`_issue_fast`, specialized for the fused one-app-thread
-        core (:meth:`_step_1t`).
-
-        The only possible memory candidates are this thread's FIFO head
-        and the oldest prefetch, so the per-thread collection walk is
-        gone.  Application memory µops are never squashed — wrong-path
-        fetch emits SYNTH fillers only, and SYNTH is not a memory kind —
-        so the FIFO lazy squash-drops vanish too; SYNTH µops do reach
-        the integer heap, so its squash test stays.  Pool releases are
-        inlined for the app side (``release(False)`` is a plain
-        ``app_used`` decrement).
-        """
-        cycle = self.cycle
-        t = self._t0
-        wheel = self.wheel
-        wheel_heap = wheel._heap
-        now = wheel.now
-        mem: List[Uop] = []
-        fifo = self._t0_fifo
-        if fifo:
-            head = fifo[0]
-            if (
-                not head.n_wait
-                and head.mem_seq == t.mem_issue_next
-                and (
-                    head.kind is not UopKind.ATOMIC
-                    or (t.rob and t.rob[0] is head and not self._t0_sb)
-                )
-            ):
-                mem.append(head)
-        pf = self._pf_fifo
-        if pf:
-            mem.append(pf[0])
-            if len(mem) == 2 and mem[0].iq_pos > mem[1].iq_pos:
-                mem.reverse()
-        alu = 6
-        iqr = self._iqr
-        gated = self._gated  # persistent scratch; always left empty
-        if not mem:
-            while alu > 0 and iqr:
-                pos, uop = heappop(iqr)
-                if uop.squashed:
-                    continue
-                if uop.kind is UopKind.DIV:
-                    if self.div_free_at > cycle:
-                        self._note_unit_wake(self.div_free_at)
-                        gated.append((pos, uop))
-                        continue
-                    self.div_free_at = cycle + self.pp.int_div_latency
-                alu -= 1
-                self._worked = True
-                uop.issued = True
-                t.icount -= 1
-                self.iq_pool.app_used -= 1
-                self._rn_wait = 0
-                # _schedule_complete, inlined (once per issued µop).
-                lat = _LAT1[uop.kind] if uop.latency == 1 else self._latency_of(uop)
-                wheel._seq += 1
-                heappush(
-                    wheel_heap,
-                    (now + lat, wheel._seq, partial(self._complete, uop, False)),
-                )
-        else:
-            inf = 1 << 62
-            agu = 1
-            mi = 0
-            mn = len(mem)
-            while True:
-                hpos = iqr[0][0] if (alu > 0 and iqr) else inf
-                mpos = mem[mi].iq_pos if (agu > 0 and mi < mn) else inf
-                if hpos <= mpos:
-                    if hpos == inf:
-                        break
-                    pos, uop = heappop(iqr)
-                    if uop.squashed:
-                        continue
-                    if uop.kind is UopKind.DIV:
-                        if self.div_free_at > cycle:
-                            self._note_unit_wake(self.div_free_at)
-                            gated.append((pos, uop))
-                            continue
-                        self.div_free_at = cycle + self.pp.int_div_latency
-                    alu -= 1
-                    self._worked = True
-                    uop.issued = True
-                    t.icount -= 1
-                    self.iq_pool.app_used -= 1
-                    self._rn_wait = 0
-                    lat = (_LAT1[uop.kind] if uop.latency == 1
-                           else self._latency_of(uop))
-                    wheel._seq += 1
-                    heappush(
-                        wheel_heap,
-                        (now + lat, wheel._seq,
-                         partial(self._complete, uop, False)),
-                    )
-                else:
-                    uop = mem[mi]
-                    mi += 1
-                    # Even a BLOCKED attempt records hierarchy stats, so
-                    # an issuable memory µop keeps the core awake.
-                    self._worked = True
-                    if self._issue_mem(uop):
-                        agu -= 1
-                        uop.issued = True
-                        t.icount -= 1
-                        self.iq_pool.app_used -= 1
-                        self._rn_wait = 0
-                        if uop.kind is UopKind.PREFETCH:
-                            pf.popleft()
-                        else:
-                            fifo.popleft()
-                        self._mem_ready -= 1  # an issued head was ready
-        if gated:
-            for entry in gated:
-                heappush(iqr, entry)
-            del gated[:]
-        fqr = self._fqr
-        if fqr:
-            fpu = 3
-            while fpu > 0 and fqr:
-                pos, uop = heappop(fqr)
-                if uop.squashed:
-                    continue
-                if uop.kind is UopKind.FDIV:
-                    if self.fdiv_free_at > cycle:
-                        self._note_unit_wake(self.fdiv_free_at)
-                        gated.append((pos, uop))
-                        continue
-                    self.fdiv_free_at = cycle + self.pp.fp_div_dp_latency
-                fpu -= 1
-                self._worked = True
-                uop.issued = True
-                t.icount -= 1
-                self.fq_pool.app_used -= 1
-                self._rn_wait = 0
-                lat = (_LAT1[uop.kind] if uop.latency == 1
-                       else self._latency_of(uop))
-                wheel._seq += 1
-                heappush(
-                    wheel_heap,
-                    (now + lat, wheel._seq,
-                     partial(self._complete, uop, False)),
-                )
-            if gated:
-                for entry in gated:
-                    heappush(fqr, entry)
-                del gated[:]
-
-    def _issue_nt(self) -> None:
-        """:meth:`_issue_fast` with the per-issue bookkeeping inlined
-        for the fused multi-threaded core: completion scheduling as a
+        Per-issue bookkeeping is inlined: completion scheduling as a
         direct wheel-heap push (:meth:`_schedule_complete` flattened),
         pool releases as plain used-counter arithmetic, and every issue
         clearing the rename-stall latches (an issue frees an IQ/FQ
-        slot, so a latched rename head may now succeed).  Candidate set
-        and order are exactly :meth:`_issue_fast`'s.
+        slot, so a latched rename head may now succeed).
         """
         cycle = self.cycle
         threads = self.threads
@@ -2287,7 +1827,6 @@ class SMTCore:
                     iq_pool.proto_used -= 1
                 else:
                     iq_pool.app_used -= 1
-                self._rn_wait = 0
                 self._rn_wait_app = 0
                 self._rn_wait_proto = 0
                 lat = (_LAT1[uop.kind] if uop.latency == 1
@@ -2326,7 +1865,6 @@ class SMTCore:
                         iq_pool.proto_used -= 1
                     else:
                         iq_pool.app_used -= 1
-                    self._rn_wait = 0
                     self._rn_wait_app = 0
                     self._rn_wait_proto = 0
                     lat = (_LAT1[uop.kind] if uop.latency == 1
@@ -2351,7 +1889,6 @@ class SMTCore:
                             iq_pool.proto_used -= 1
                         else:
                             iq_pool.app_used -= 1
-                        self._rn_wait = 0
                         self._rn_wait_app = 0
                         self._rn_wait_proto = 0
                         if uop.kind is UopKind.PREFETCH:
@@ -2386,7 +1923,6 @@ class SMTCore:
                     fq_pool.proto_used -= 1
                 else:
                     fq_pool.app_used -= 1
-                self._rn_wait = 0
                 self._rn_wait_app = 0
                 self._rn_wait_proto = 0
                 lat = (_LAT1[uop.kind] if uop.latency == 1
@@ -2556,7 +2092,6 @@ class SMTCore:
             return
         # The front-end flush below can remove the stalled rename-queue
         # head itself (a new head may rename without anything freeing).
-        self._rn_wait = 0
         self._rn_wait_app = 0
         self._rn_wait_proto = 0
         # Squash changes front-end occupancy and wrong-path state, and
@@ -2591,8 +2126,7 @@ class SMTCore:
             self.node.stats.protocol.squash_cycles += 1
 
     def _squash(self, victim: Uop) -> None:
-        self._rn_wait = 0  # the victim's resources come back
-        self._rn_wait_app = 0
+        self._rn_wait_app = 0  # the victim's resources come back
         self._rn_wait_proto = 0
         victim.squashed = True
         t = self.threads[victim.thread]
@@ -2699,7 +2233,6 @@ class SMTCore:
     def _retire(self, t: ThreadContext, uop: Uop) -> None:
         # Retirement frees window/register/LSQ/branch-stack resources,
         # but no issue-queue slot: code 1 stays latched.
-        self._rn_wait &= 1
         self._rn_wait_app &= 1
         self._rn_wait_proto &= 1
         if uop.commit_stage:

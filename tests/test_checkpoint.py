@@ -377,7 +377,7 @@ def test_snapshot_restore_smtp_fast_path_all_bundles(monkeypatch):
     must rebuild its quiet-stage latches (``_cm_stall``/``_fetch_idle``
     are not snapshot state — they are caches that re-derive) and still
     land on the uninterrupted stats."""
-    monkeypatch.delenv("REPRO_SMT_INTERP", raising=False)
+    monkeypatch.delenv("REPRO_APP_INTERP", raising=False)
     for protocol in ("smtp-bitvector", "msi", "migratory"):
         spec = ck.make_spec("fft", "smtp", n_nodes=2, ways=2,
                             preset="tiny", protocol=protocol)
@@ -392,32 +392,20 @@ def test_snapshot_restore_smtp_fast_path_all_bundles(monkeypatch):
         assert resumed == straight, f"{protocol}: resumed run diverged"
 
 
-def test_snapshot_restore_fast_path_matches_interp_mode(monkeypatch):
-    """Four-way diff on a multi-way cell: straight/restored under the
-    fused path and under REPRO_SMT_INTERP=1 all agree."""
-    spec = ck.make_spec("water", "smtp", n_nodes=2, ways=2, preset="tiny")
-    outcomes = {}
-    for interp in (False, True):
-        if interp:
-            monkeypatch.setenv("REPRO_SMT_INTERP", "1")
-        else:
-            monkeypatch.delenv("REPRO_SMT_INTERP", raising=False)
-        straight = _finish(ck.build_checkpointable(spec))
-        m = ck.build_checkpointable(spec)
-        m.run(1100)
-        resumed = _finish(ck.restore(ck.snapshot(m)))
-        outcomes[("straight", interp)] = straight
-        outcomes[("resumed", interp)] = resumed
-    monkeypatch.delenv("REPRO_SMT_INTERP", raising=False)
-    baseline = outcomes[("straight", False)]
-    for key, stats in outcomes.items():
-        assert stats == baseline, f"{key} diverged"
-
-
-def test_interp_and_compiled_checkpoint_runs_agree(monkeypatch):
-    """The four-way diff: straight/restored × interp/compiled all land
-    on one MachineStats."""
-    spec = ck.make_spec("fft", "base", n_nodes=1, preset="tiny")
+@pytest.mark.parametrize(
+    "spec_kwargs, pause",
+    [
+        (dict(app="fft", model="base", n_nodes=1), 900),
+        (dict(app="water", model="smtp", n_nodes=2, ways=2), 1100),
+    ],
+    ids=("fft-base-1t", "water-smtp-2way"),
+)
+def test_interp_and_compiled_checkpoint_runs_agree(spec_kwargs, pause,
+                                                   monkeypatch):
+    """The four-way diff: straight/restored × reference/fused all land
+    on one MachineStats — on a single-thread core (``_step_1t``) and on
+    a multi-way SMTp core (``_step_nt``)."""
+    spec = ck.make_spec(preset="tiny", **spec_kwargs)
     outcomes = {}
     for interp in (False, True):
         if interp:
@@ -426,7 +414,7 @@ def test_interp_and_compiled_checkpoint_runs_agree(monkeypatch):
             monkeypatch.delenv("REPRO_APP_INTERP", raising=False)
         straight = _finish(ck.build_checkpointable(spec))
         m = ck.build_checkpointable(spec)
-        m.run(900)
+        m.run(pause)
         resumed = _finish(ck.restore(ck.snapshot(m)))
         outcomes[("straight", interp)] = straight
         outcomes[("resumed", interp)] = resumed

@@ -23,6 +23,8 @@ Coverage comes from two directions:
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import pytest
@@ -131,47 +133,60 @@ def test_event_vs_dense_run_app_multinode(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# App-tier compilation: interpreted KernelBuilder feed vs compiled
-# superblocks (REPRO_APP_INTERP=1 vs the default).
+# Reference vs fused: REPRO_APP_INTERP=1 (interpreted KernelBuilder feed,
+# reference ``SMTCore.step``) vs the default (compiled superblocks,
+# fused ``_step_1t``/``_step_nt``).
 # ----------------------------------------------------------------------
 #
-# Unlike the dense/event differential above, the app compiler claims
-# *complete* equality — the compiled feed replays the same µop stream,
-# so every field of MachineStats (including ``skipped_cycles``) and the
-# protocol trace tail must match bit for bit.
+# Unlike the dense/event differential above, the fused steps claim
+# *complete* equality — they walk the same pipeline in a flattened
+# order with quiet-stage latches and replay the same µop stream, so
+# every field of MachineStats (including ``skipped_cycles``: both modes
+# run the same event-driven scheduler) and the protocol trace tail must
+# match bit for bit.
 
+from repro.apps.program import KernelBuilder, ThreadProgram  # noqa: E402
 from repro.sim.driver import run_machine  # noqa: E402
 from repro.sim.experiments import app_sources, preset_sizes  # noqa: E402
+from tests.conftest import small_machine  # noqa: E402
 
 APPS = ("water", "fft", "fftw", "lu", "ocean", "radix")
+PROTOCOLS = ("smtp-bitvector", "msi", "migratory")
 TRACE_TAIL = 512
 
 
-def _run_app_traced(app: str, model: str, n_nodes: int, interp: bool):
-    import os
-
-    old = os.environ.get("REPRO_APP_INTERP")
-    if interp:
-        os.environ["REPRO_APP_INTERP"] = "1"
+@contextmanager
+def _env_flag(name: str, on: bool):
+    """Set ``name=1`` (or unset it) for the duration of the block."""
+    old = os.environ.get(name)
+    if on:
+        os.environ[name] = "1"
     else:
-        os.environ.pop("REPRO_APP_INTERP", None)
+        os.environ.pop(name, None)
     try:
-        machine = build_machine(model, n_nodes=n_nodes)
+        yield
+    finally:
+        if old is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = old
+
+
+def _run_app_traced(app: str, model: str, n_nodes: int, interp: bool,
+                    ways: int = 1, protocol: str = "smtp-bitvector"):
+    with _env_flag("REPRO_APP_INTERP", interp):
+        machine = build_machine(model, n_nodes=n_nodes, ways=ways,
+                                protocol=protocol)
         tracer = ProtocolTracer(machine, ring=True, max_events=TRACE_TAIL)
         sources = app_sources(app, machine, dict(preset_sizes(app, "tiny")))
         stats = run_machine(machine, sources, max_cycles=30_000_000)
         return stats.to_dict(), _trace_stream(tracer)
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_APP_INTERP", None)
-        else:
-            os.environ["REPRO_APP_INTERP"] = old
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_interp_vs_compiled_all_apps(model):
     """All six workloads, one model per test id: complete stats +
-    trace-tail bit-identity between the two app feeds."""
+    trace-tail bit-identity between the reference and the fused core."""
     for app in APPS:
         interp_stats, interp_trace = _run_app_traced(
             app, model, n_nodes=1, interp=True)
@@ -188,8 +203,8 @@ def test_interp_vs_compiled_all_apps(model):
     n_nodes=st.sampled_from((1, 2)),
 )
 def test_interp_vs_compiled_property(app, model, n_nodes):
-    """Random (app, model, nodes) cells: the compiled feed is
-    observationally invisible, multi-node included."""
+    """Random (app, model, nodes) cells: the compiled feed and fused
+    core are observationally invisible, multi-node included."""
     interp_stats, interp_trace = _run_app_traced(
         app, model, n_nodes, interp=True)
     compiled_stats, compiled_trace = _run_app_traced(
@@ -198,55 +213,16 @@ def test_interp_vs_compiled_property(app, model, n_nodes):
     assert compiled_trace == interp_trace
 
 
-# ----------------------------------------------------------------------
-# Fused multi-threaded fast path: ``_step_nt`` vs the generic
-# ``step()`` interpreter (REPRO_SMT_INTERP=1 vs the default).
-# ----------------------------------------------------------------------
-#
-# Like the app compiler, the fused SMT path claims *complete* equality:
-# it is the same pipeline walked in a flattened order with quiet-stage
-# latches, so every MachineStats field (``skipped_cycles`` included —
-# both modes run the same event-driven scheduler) and the protocol
-# trace tail must be bit-identical.  The path only engages on cores
-# with >=2 hardware threads (SMTp's app+protocol pair, or ways>=2
-# app-thread cells), so those are the configurations exercised here.
-
-PROTOCOLS = ("smtp-bitvector", "msi", "migratory")
-
-
-def _run_smt_traced(app: str, model: str, n_nodes: int, ways: int,
-                    protocol: str, interp: bool):
-    import os
-
-    old = os.environ.get("REPRO_SMT_INTERP")
-    if interp:
-        os.environ["REPRO_SMT_INTERP"] = "1"
-    else:
-        os.environ.pop("REPRO_SMT_INTERP", None)
-    try:
-        machine = build_machine(model, n_nodes=n_nodes, ways=ways,
-                                protocol=protocol)
-        tracer = ProtocolTracer(machine, ring=True, max_events=TRACE_TAIL)
-        sources = app_sources(app, machine, dict(preset_sizes(app, "tiny")))
-        stats = run_machine(machine, sources, max_cycles=30_000_000)
-        return stats.to_dict(), _trace_stream(tracer)
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_SMT_INTERP", None)
-        else:
-            os.environ["REPRO_SMT_INTERP"] = old
-
-
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_fused_vs_interp_smtp_all_bundles(protocol):
-    """SMTp 2-way cells under every registered coherence bundle: full
-    stats + trace-tail bit-identity between the fused path and the
-    generic interpreter."""
+    """SMTp 2-way cells (``_step_nt`` with the protocol thread) under
+    every registered coherence bundle: full stats + trace-tail
+    bit-identity against the reference."""
     for app in ("fft", "water"):
-        interp_stats, interp_trace = _run_smt_traced(
-            app, "smtp", n_nodes=2, ways=2, protocol=protocol, interp=True)
-        fused_stats, fused_trace = _run_smt_traced(
-            app, "smtp", n_nodes=2, ways=2, protocol=protocol, interp=False)
+        interp_stats, interp_trace = _run_app_traced(
+            app, "smtp", n_nodes=2, interp=True, ways=2, protocol=protocol)
+        fused_stats, fused_trace = _run_app_traced(
+            app, "smtp", n_nodes=2, interp=False, ways=2, protocol=protocol)
         assert fused_stats == interp_stats, \
             f"{app}/{protocol}: stats diverge"
         assert fused_trace == interp_trace, \
@@ -255,13 +231,11 @@ def test_fused_vs_interp_smtp_all_bundles(protocol):
 
 def test_fused_vs_interp_multiway_no_protocol_thread():
     """ways>=2 cells on a model *without* a protocol thread also take
-    the fused path (two app threads); same complete-equality claim."""
-    interp_stats, interp_trace = _run_smt_traced(
-        "ocean", "base", n_nodes=2, ways=2,
-        protocol="smtp-bitvector", interp=True)
-    fused_stats, fused_trace = _run_smt_traced(
-        "ocean", "base", n_nodes=2, ways=2,
-        protocol="smtp-bitvector", interp=False)
+    ``_step_nt`` (two app threads); same complete-equality claim."""
+    interp_stats, interp_trace = _run_app_traced(
+        "ocean", "base", n_nodes=2, interp=True, ways=2)
+    fused_stats, fused_trace = _run_app_traced(
+        "ocean", "base", n_nodes=2, interp=False, ways=2)
     assert fused_stats == interp_stats
     assert fused_trace == interp_trace
 
@@ -276,12 +250,79 @@ def test_fused_vs_interp_multiway_no_protocol_thread():
 def test_fused_vs_interp_property(app, model, protocol, n_nodes):
     """Random (app, model, bundle, nodes) 2-way cells: the fused path
     is observationally invisible wherever it engages."""
-    interp_stats, interp_trace = _run_smt_traced(
-        app, model, n_nodes, ways=2, protocol=protocol, interp=True)
-    fused_stats, fused_trace = _run_smt_traced(
-        app, model, n_nodes, ways=2, protocol=protocol, interp=False)
+    interp_stats, interp_trace = _run_app_traced(
+        app, model, n_nodes, interp=True, ways=2, protocol=protocol)
+    fused_stats, fused_trace = _run_app_traced(
+        app, model, n_nodes, interp=False, ways=2, protocol=protocol)
     assert fused_stats == interp_stats
     assert fused_trace == interp_trace
+
+
+def _mixed_body(k):
+    """Every µop class a single app thread can issue: int/fp chains,
+    the unpipelined FP divider, loads (forwarded and missing), stores,
+    prefetches, an atomic, and a branch pattern that mispredicts."""
+    top = k.here()
+    for i in range(48):
+        k.set_pc(top)
+        a = k.alu()
+        b = k.mul(a)
+        f = k.falu()
+        if i % 8 == 0:
+            k.fdiv(f)
+        k.store(0x2000 + 64 * (i % 5), b, value=i)
+        k.load(0x2000 + 64 * (i % 5))
+        k.load(0x8000 + 4096 * i, a)
+        if i % 7 == 0:
+            k.prefetch(0x40000 + 64 * i)
+        if i % 16 == 5:
+            k.atomic(0x3000, "fai", 1)
+        k.branch(i % 3 == 0, top if i % 3 else top + 512)
+        yield
+
+
+def test_threadprogram_single_thread_reference_vs_fused():
+    """A single-thread core fed by a hand-built ThreadProgram (as unit
+    tests and fuzzing build them) runs ``_step_nt`` by default and the
+    reference step under REPRO_APP_INTERP=1: complete MachineStats
+    equality."""
+    outcomes = []
+    for interp in (True, False):
+        with _env_flag("REPRO_APP_INTERP", interp):
+            m = small_machine("base", n_nodes=1)
+            prog = ThreadProgram(_mixed_body, KernelBuilder(0, 0x400000),
+                                 m.wheel)
+            m.install_cores([[prog]])
+            core = m.nodes[0].core
+            assert core._use_nt is (not interp)
+            m.run(400_000)
+            assert m.all_done()
+            m.quiesce()
+            outcomes.append(m.collect_stats())
+    ref, fused = outcomes
+    t = ref.app_threads()[0]
+    assert t.committed > 0 and t.squashed > 0 and t.prefetches > 0
+    assert fused.to_dict() == ref.to_dict()
+
+
+@pytest.mark.parametrize("interp", (False, True),
+                         ids=("default", "app_interp"))
+@pytest.mark.parametrize("ways", (1, 2))
+@pytest.mark.parametrize("model", MODELS)
+def test_core_step_routing(model, ways, interp):
+    """Every core runs exactly one of the two fused steps by default,
+    and the reference step under REPRO_APP_INTERP=1."""
+    with _env_flag("REPRO_APP_INTERP", interp):
+        machine = build_machine(model, n_nodes=2, ways=ways)
+        machine.install_cores(
+            app_sources("fft", machine, dict(preset_sizes("fft", "tiny"))))
+        cores = [n.core for n in machine.nodes]
+        assert cores and all(c is not None for c in cores)
+        for core in cores:
+            if interp:
+                assert not core._use_1t and not core._use_nt
+            else:
+                assert core._use_1t != core._use_nt
 
 
 # ----------------------------------------------------------------------
@@ -290,25 +331,9 @@ def test_fused_vs_interp_property(app, model, protocol, n_nodes):
 
 
 def _run_smt_dense(app: str, protocol: str, n_nodes: int, dense: bool):
-    import os
-
-    old = os.environ.get("REPRO_DENSE_STEP")
-    if dense:
-        os.environ["REPRO_DENSE_STEP"] = "1"
-    else:
-        os.environ.pop("REPRO_DENSE_STEP", None)
-    try:
-        machine = build_machine("smtp", n_nodes=n_nodes, ways=2,
-                                protocol=protocol)
-        tracer = ProtocolTracer(machine, ring=True, max_events=TRACE_TAIL)
-        sources = app_sources(app, machine, dict(preset_sizes(app, "tiny")))
-        stats = run_machine(machine, sources, max_cycles=30_000_000)
-        return stats.to_dict(), _trace_stream(tracer)
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_DENSE_STEP", None)
-        else:
-            os.environ["REPRO_DENSE_STEP"] = old
+    with _env_flag("REPRO_DENSE_STEP", dense):
+        return _run_app_traced(app, "smtp", n_nodes, interp=False, ways=2,
+                               protocol=protocol)
 
 
 @settings(max_examples=4, deadline=None)

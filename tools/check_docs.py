@@ -103,7 +103,7 @@ MAKE_RE = re.compile(
 
 # Targets that must stay live in the Makefile AND be described in one
 # of ENV_DOCS: the CI perf gates operators are expected to run.
-REQUIRED_TARGETS = ("smoke", "fig8-smoke")
+REQUIRED_TARGETS = ("smoke", "fig8-smoke", "perfbench")
 
 
 def makefile_targets() -> set[str]:

@@ -4,7 +4,7 @@
 PYTHON ?= python
 JOBS ?= 4
 
-.PHONY: test tier1 smoke fig2 fig8-smoke perfbench fuzz-smoke bench clean-cache analyze analyze-all model-deep lint docs-check
+.PHONY: test tier1 smoke fig2 fig8-smoke perfbench perfbench-ab fuzz-smoke bench clean-cache analyze analyze-all model-deep lint docs-check
 
 # Tier-1 gate: the full unit/integration/property suite, then the
 # protocol verifier (static + dispatch + exhaustive small model).
@@ -122,6 +122,20 @@ perfbench:
 		$(PYTHON) perfbench/run.py --workload $$w --seconds 25 \
 			--trace 0 || exit 1; \
 	done
+
+# A/B of the benchmark against a base revision: the committed files of
+# BASE are exported to a temporary directory and perfbench runs
+# alternate between it and the working tree, PAIRS times per workload
+# (tools/perfbench_ab.py).  Prints per-pair and median cpu_s with the
+# relative change, and fails when a run fails or the trees disagree on
+# sim_cycles or the stats digest.
+PAIRS ?= 3
+WORKLOADS ?= $(PERFBENCH_WORKLOADS)
+perfbench-ab:
+	@test -n "$(BASE)" || \
+		{ echo "usage: make perfbench-ab BASE=<rev> [PAIRS=3] [WORKLOADS=...]"; exit 2; }
+	$(PYTHON) tools/perfbench_ab.py $(BASE) --pairs $(PAIRS) \
+		--workloads "$(WORKLOADS)"
 
 # Docs-staleness gate: every --flag a doc mentions must exist in the
 # live --help of the commands it covers, and every sweep/fuzz flag

@@ -167,6 +167,19 @@ class SMTCore:
             tstats = ThreadStats(node=node.node_id, context=tid)
             self.threads.append(ThreadContext(tid, proto_source, True, tstats))
 
+        # Wrong-path filler templates: integer ops chained through a
+        # rotating logical register window of 8 shapes per thread (src
+        # is the previous shape's dest), so filler µops clone from
+        # ``_synth_tmpl[tid][wp_emitted % 8]`` (dest = 8 + that index).
+        self._synth_tmpl: List[List[Uop]] = [
+            [
+                Uop(UopKind.SYNTH, t.tid, srcs=(8 + (i - 1) % 8,),
+                    dest=8 + i, protocol=t.protocol)
+                for i in range(8)
+            ]
+            for t in self.threads
+        ]
+
         self._seq = 0
         self._rr = 0
         self.cycle = 0
@@ -203,9 +216,6 @@ class SMTCore:
         # all for a sleeping core (see flush_idle_fixup).
         self._ff_anchor = 0
         self._done_sticky = False
-        # Wrong-path filler templates, keyed (tid, dest) — see
-        # _make_synth.
-        self._synth_tmpl: Dict[Tuple[int, int], Uop] = {}
         # Same-thread store->load forwarding values (word granularity).
         self._pending_stores: Dict[Tuple[int, int], List[int]] = {}
         # Per-thread store-buffer FIFO: stores drain strictly in program
@@ -295,8 +305,10 @@ class SMTCore:
         # verdict are pure functions of state that only changes through
         # wake()/_complete() events or this core's own retire/rename/
         # squash work — every such site clears the latches, so the
-        # ~70% of awake cycles that neither retire nor fetch shrink to
-        # a few counter bumps.
+        # awake cycles that neither retire nor fetch (56% of _step_nt
+        # calls on the 16-node SMTp 2-way fft cell) shrink to a few
+        # counter bumps.  A valid ``_cm_stall`` also is the sleep plan's
+        # stall half (_build_ff_plan).
         self._cm_stall: Optional[List[Tuple[ThreadStats, bool]]] = None
         self._fetch_idle = False
 
@@ -442,19 +454,51 @@ class SMTCore:
 
     def _build_ff_plan(self) -> list:
         """The per-idle-cycle counter increments, as (object, attribute)
-        pairs — frozen for the duration of one sleep period."""
+        pairs — frozen for the duration of one sleep period.
+
+        The protocol-busy entry is :meth:`_proto_busy`, the port test
+        :meth:`_step_nt` runs at step entry.  The stall entries come
+        from the ``_cm_stall`` latch when it is set (a ``_step_nt``
+        core whose last commit scan found no retirable head: the
+        skipped dense steps' commits would replay exactly those
+        charges).  Every other caller — reference and ``_step_1t``
+        cores, and ``_step_nt`` cores whose latch was dropped or never
+        built — derives them with :meth:`_retirable` on every window
+        head.
+        """
         plan = []
-        if self.proto_tid >= 0:
-            port = self.threads[self.proto_tid].source.port
-            if port is not None and not port.idle():
-                plan.append((self.node.stats.protocol, "busy_cycles"))
-        for t in self.threads:
-            if t.rob and not self._retirable(t.rob[0]):
-                if t.rob[0].is_memory:
-                    plan.append((t.stats, "memory_stall_cycles"))
-                else:
-                    plan.append((t.stats, "other_stall_cycles"))
+        tp = self._tproto
+        if tp is not None and self._proto_busy(tp):
+            plan.append((self.node.stats.protocol, "busy_cycles"))
+        stalls = self._cm_stall
+        if stalls is None:
+            stalls = [
+                (t.stats, t.rob[0].is_memory)
+                for t in self.threads
+                if t.rob and not self._retirable(t.rob[0])
+            ]
+        for stats, mem in stalls:
+            plan.append(
+                (stats, "memory_stall_cycles" if mem else "other_stall_cycles")
+            )
         return plan
+
+    def _proto_busy(self, tp: ThreadContext) -> bool:
+        """``not port.idle()`` for the protocol thread ``tp``, inlined
+        (Table 7): the protocol thread is "active" while a handler has
+        effects in flight; a SWITCH/LDCTXT idling at the head waiting
+        for traffic does not count.  False without a port."""
+        src = tp.source
+        port = src.port
+        if port is None:
+            return False
+        if port.pending is not None or src.fetching or src._buffer:
+            return True
+        for u in tp.rob:
+            k = u.kind
+            if k is not UopKind.SWITCH and k is not UopKind.LDCTXT:
+                return True
+        return False
 
     def _note_unit_wake(self, free_at: int) -> None:
         if self._unit_wake == 0 or free_at < self._unit_wake:
@@ -629,10 +673,19 @@ class SMTCore:
             and len(dqa) < self._dq_room
         ):
             if t.wrongpath_branch is not None:
-                if t.wp_emitted < WRONG_PATH_CAP:
-                    self._fetch_thread(t, self._fetch_width)
-            elif t.source.peek_available():
-                self._fetch_thread_fast(t, self._fetch_width)
+                self._fetch_wp(t, self._fetch_width)
+            else:
+                src = t.source
+                if src.pos < len(src.k.buffer) or not (
+                    # peek_available's parked fast-reject, inlined (as
+                    # in _fetch_nt): in these states it returns False
+                    # with no refill.
+                    src._waiting
+                    or src._sleeping
+                    or src._done
+                    or not src.peek_available()
+                ):
+                    self._fetch_thread_fast(t, self._fetch_width)
 
     def _step_nt(self) -> None:
         """:meth:`step`, fused for every core :meth:`_step_1t` does not
@@ -656,22 +709,8 @@ class SMTCore:
         self._wake_flag = False
         self._unit_wake = 0
         tp = self._tproto
-        if tp is not None:
-            src = tp.source
-            port = src.port
-            if port is not None:
-                # port.idle() inlined (Table 7): the protocol thread is
-                # "active" while a handler has effects in flight; a
-                # SWITCH idling at the head waiting for traffic does
-                # not count.
-                if port.pending is not None or src.fetching or src._buffer:
-                    self.node.stats.protocol.busy_cycles += 1
-                else:
-                    for u in tp.rob:
-                        k = u.kind
-                        if k is not UopKind.SWITCH and k is not UopKind.LDCTXT:
-                            self.node.stats.protocol.busy_cycles += 1
-                            break
+        if tp is not None and self._proto_busy(tp):
+            self.node.stats.protocol.busy_cycles += 1
         self._commit_nt()
         if self._iqr or self._fqr or self._mem_ready:
             self._issue_nt()
@@ -1141,6 +1180,13 @@ class SMTCore:
             budget = self._fetch_thread(t, budget)
 
     def _fetch_thread(self, t: ThreadContext, budget: int) -> int:
+        """Per-µop fetch of up to ``budget`` µops from ``t``.
+
+        The reference fetch body: the reference :meth:`_fetch` takes it
+        for every thread, and :meth:`_fetch_nt` for interpreted
+        correct-path sources (a hand-built ``ThreadProgram``).  The
+        fused steps fill wrong paths through :meth:`_fetch_wp`.
+        """
         while budget > 0:
             if not self.decode_q.can_push(t.protocol):
                 break
@@ -1189,8 +1235,8 @@ class SMTCore:
         to the shared predictor path.  Observationally identical to the
         per-µop loop in :meth:`_fetch_thread`: same µops in the same
         order, same stats, same stall/redirect points.  Only entered on
-        the correct path (wrong-path fill stays on the reference loop,
-        which never touches the source).
+        the correct path (wrong-path fill is :meth:`_fetch_wp`, which
+        never touches the source).
         """
         dq = self.decode_q
         room = self._dq_room - len(dq.app) - len(dq.proto)
@@ -1297,11 +1343,11 @@ class SMTCore:
         key ``(icount, not protocol)`` packs into one integer
         (``icount`` is non-negative) and strict-less-than comparisons
         keep the earlier thread on ties, exactly like the stable sort.
-        Selected threads fetch through the compiled loops — superblock
-        fetch for compiled app sources, the inline protocol-buffer loop
-        for the protocol thread — falling back to the reference
-        :meth:`_fetch_thread` for wrong-path fill and interpreted
-        sources.
+        Selected threads fetch through the fused loops — :meth:`_fetch_wp`
+        for wrong-path fill, superblock fetch for compiled app sources,
+        the inline protocol-buffer loop for the protocol thread — and
+        through the reference :meth:`_fetch_thread` only for
+        interpreted correct-path sources.
         """
         if self._fetch_idle:
             # Latched no-candidate verdict: every thread was done,
@@ -1365,7 +1411,7 @@ class SMTCore:
             return
         budget = self._fetch_width
         if best.wrongpath_branch is not None:
-            budget = self._fetch_thread(best, budget)
+            budget = self._fetch_wp(best, budget)
         elif best.protocol:
             budget = self._fetch_thread_proto(best, budget)
         elif best.compiled_src:
@@ -1375,7 +1421,7 @@ class SMTCore:
         if second is not None and budget > 0:
             t = second
             if t.wrongpath_branch is not None:
-                self._fetch_thread(t, budget)
+                self._fetch_wp(t, budget)
             elif t.protocol:
                 self._fetch_thread_proto(t, budget)
             elif t.compiled_src:
@@ -1470,24 +1516,62 @@ class SMTCore:
         self.wake_fetch()
 
     def _make_synth(self, t: ThreadContext) -> Uop:
+        """The next wrong-path filler µop of ``t``: integer ops chained
+        through a rotating logical register window, consuming
+        rename/IQ resources.  Only the reference per-µop loop in
+        :meth:`_fetch_thread` (reference :meth:`step`) makes them one
+        at a time; the fused steps stamp them in :meth:`_fetch_wp`."""
         t.wp_emitted += 1
         t.wp_pc += 4
-        # Wrong-path filler: integer ops chained through a rotating
-        # logical register window, consuming rename/IQ resources.  The
-        # window has 8 shapes per thread (src is a function of dest),
-        # so filler µops clone from a tiny template cache.
-        dest = 8 + (t.wp_emitted % 8)
-        key = (t.tid, dest)
-        tmpl = self._synth_tmpl.get(key)
-        if tmpl is None:
-            src = 8 + ((t.wp_emitted - 1) % 8)
-            tmpl = self._synth_tmpl[key] = Uop(
-                UopKind.SYNTH, t.tid, srcs=(src,), dest=dest,
-                protocol=t.protocol,
-            )
-        uop = tmpl.clone()
+        uop = self._synth_tmpl[t.tid][t.wp_emitted % 8].clone()
         uop.pc = t.wp_pc
         return uop
+
+    def _fetch_wp(self, t: ThreadContext, budget: int) -> int:
+        """Wrong-path fill for the fused steps: :meth:`_fetch_thread`'s
+        per-µop :meth:`_make_synth` loop in one pass.
+
+        Filler µops touch neither the source nor the I-cache and are
+        never branches or LDCTXTs, so the reference loop stops only on
+        the budget, on decode-queue room (``can_push``, with the
+        protocol section's reserved slot) or on ``WRONG_PATH_CAP``.
+        The µop count is their minimum, taken once; the µops are
+        stamped from ``t``'s templates straight into its decode
+        section, and the thread/core counters move once.  Same µops
+        (kind, pc, seq, srcs, dest) and counters as the reference loop.
+        """
+        dq = self.decode_q
+        occupancy = len(dq.app) + len(dq.proto)
+        if t.protocol:
+            n = dq.capacity - occupancy
+            push = dq.proto.append
+        else:
+            n = self._dq_room - occupancy
+            push = dq.app.append
+        if budget < n:
+            n = budget
+        emitted = t.wp_emitted
+        if WRONG_PATH_CAP - emitted < n:
+            n = WRONG_PATH_CAP - emitted
+        if n <= 0:
+            return budget
+        tmpl = self._synth_tmpl[t.tid]
+        pc = t.wp_pc
+        seq = self._seq
+        for _ in range(n):
+            emitted += 1
+            pc += 4
+            seq += 1
+            uop = tmpl[emitted & 7].clone()
+            uop.pc = pc
+            uop.seq = seq
+            push(uop)
+        t.wp_emitted = emitted
+        t.wp_pc = pc
+        t.icount += n
+        self._seq = seq
+        self._worked = True
+        return budget - n
 
     def _predict(self, t: ThreadContext, uop: Uop) -> bool:
         """Predict a branch; returns True when fetch redirects (predicted

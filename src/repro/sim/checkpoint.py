@@ -65,7 +65,7 @@ from repro.network import messages
 from repro.protocol import compile as pcompile
 
 #: Bump when the checkpoint payload layout changes.
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 #: Escape hatch: disable checkpointing (workers run jobs straight).
 NO_CKPT_ENV = "REPRO_NO_CKPT"

@@ -373,10 +373,9 @@ def test_snapshot_mid_superblock_restores_identically(interp, monkeypatch):
 
 def test_snapshot_restore_smtp_fast_path_all_bundles(monkeypatch):
     """SMTp 2-way cells under the fused fast path: suspend mid-run and
-    resume, once per registered coherence bundle.  The restored core
-    must rebuild its quiet-stage latches (``_cm_stall``/``_fetch_idle``
-    are not snapshot state — they are caches that re-derive) and still
-    land on the uninterrupted stats."""
+    resume, once per registered coherence bundle.  The quiet-stage
+    latches (``_cm_stall``/``_fetch_idle``) pickle with the core, and
+    the restored run must still land on the uninterrupted stats."""
     monkeypatch.delenv("REPRO_APP_INTERP", raising=False)
     for protocol in ("smtp-bitvector", "msi", "migratory"):
         spec = ck.make_spec("fft", "smtp", n_nodes=2, ways=2,
